@@ -655,17 +655,6 @@ pub fn run_with_recovery<S: Source>(
     }
 }
 
-/// The newest checkpoint epoch complete on *every* shard — the coordinated
-/// cluster checkpoint. `None` if any shard has no complete snapshot yet.
-pub fn coordinated_epoch(stores: &[&SnapshotStore]) -> Option<u64> {
-    let mut min: Option<u64> = None;
-    for s in stores {
-        let e = s.latest_epoch()?;
-        min = Some(min.map_or(e, |m| m.min(e)));
-    }
-    min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,21 +908,5 @@ mod tests {
         assert_eq!(out.crashes, 1);
         assert_eq!(out.resumed_epochs, vec![0]);
         assert_eq!(coord.committed(), oracle.committed());
-    }
-
-    #[test]
-    fn coordinated_epoch_is_min_over_shards() {
-        let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
-        let mut a = SnapshotStore::new();
-        let mut b = SnapshotStore::new();
-        assert_eq!(coordinated_epoch(&[&a, &b]), None);
-        let mut snap = sample_snapshot();
-        snap.epoch = 2;
-        a.persist(&env, &snap).unwrap();
-        assert_eq!(coordinated_epoch(&[&a, &b]), None);
-        snap.epoch = 3;
-        b.persist(&env, &snap).unwrap();
-        assert_eq!(coordinated_epoch(&[&a, &b]), Some(2));
-        assert_eq!(coordinated_epoch(&[]), None);
     }
 }

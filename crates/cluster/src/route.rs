@@ -15,9 +15,8 @@ use std::sync::Arc;
 /// more slots move finer key ranges but make the table bigger.
 pub const DEFAULT_SLOTS: u32 = 64;
 
-/// The multiplicative key hash shared with
-/// [`sbx_ingress::Partitioned`](sbx_ingress::Partitioned): Fibonacci
-/// hashing by the golden-ratio constant.
+/// The multiplicative key hash: Fibonacci hashing by the golden-ratio
+/// constant.
 const KEY_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A total map from keys to shards via hash slots.

@@ -33,10 +33,6 @@ pub struct RunConfig {
     pub threads: usize,
     /// Whether to keep sink output bundles in the report.
     pub collect_outputs: bool,
-    /// Whether to record the executed task graph (profiles + chain
-    /// dependencies) for replay on the fluid simulator
-    /// ([`RunReport::replay`]).
-    pub record_trace: bool,
     /// Encoding of records on the ingestion wire (paper §7.4): non-`Raw`
     /// formats are decoded for real per bundle and their parse cost is
     /// charged to the pipeline.
@@ -59,7 +55,6 @@ impl Default for RunConfig {
             target_delay_secs: 1.0,
             threads: 2,
             collect_outputs: false,
-            record_trace: false,
             ingest_format: IngestFormat::Raw,
             obs: Obs::noop(),
         }
@@ -97,9 +92,7 @@ pub struct Engine {
     /// Worker pool shared by every task context of the run (clones share
     /// spawn statistics); sized once from `cfg.threads`.
     pool: sbx_kpa::WorkerPool,
-    trace: Vec<sbx_simmem::TaskSpec>,
-    /// Shared id counter for replay tasks and trace spans: when both are
-    /// recorded, a span and its task share one identity.
+    /// Span id counter: the next traced operator invocation's id.
     next_task: u64,
     /// Watermark round currently being accumulated (0-based); stamped onto
     /// spans so traces align with the per-round series.
@@ -128,7 +121,6 @@ impl Engine {
             env,
             balancer,
             pool,
-            trace: Vec::new(),
             next_task: 0,
             cur_round: 0,
             cur_epoch: 0,
@@ -796,7 +788,6 @@ impl Engine {
             p99_output_delay_secs: p99_delay,
             samples,
             outputs,
-            trace: std::mem::take(&mut self.trace),
         })
     }
 
@@ -824,8 +815,8 @@ impl Engine {
         // Span timestamps are simulated: children become available when
         // their parent's modelled execution interval ends.
         let base_ns = self.env.clock().now_ns();
-        // Frontier entries carry the parent invocation's id (shared by
-        // replay tasks and trace spans) and availability time.
+        // Frontier entries carry the parent invocation's span id and
+        // availability time.
         let mut frontier: Vec<(Message, Option<u64>, u64)> =
             frontier.into_iter().map(|m| (m, None, base_ns)).collect();
         for (op_off, op) in pipeline.ops_mut()[start..].iter_mut().enumerate() {
@@ -857,7 +848,7 @@ impl Engine {
                 );
                 // Attribute every shadow-table event inside this operator
                 // invocation to its prospective span id (`next_task` is the
-                // id the invocation's span/task gets below when tracing).
+                // id the invocation's span gets below when tracing).
                 #[cfg(feature = "sanitize")]
                 let _scope = sbx_sanitize::op_scope(self.next_task, op_name);
                 let outs = match op {
@@ -892,38 +883,27 @@ impl Engine {
                         om.close_secs.record(task_secs);
                     }
                 }
-                let id = if self.cfg.record_trace || tracing {
+                let dur_ns = (task_secs * 1e9) as u64;
+                let id = if tracing {
                     let id = self.next_task;
                     self.next_task += 1;
+                    self.cfg.obs.trace.record(Span {
+                        id,
+                        parent,
+                        name: op_name,
+                        cat,
+                        lane: op_index as u64,
+                        round: self.cur_round,
+                        epoch: self.cur_epoch,
+                        start_ns: avail_ns,
+                        dur_ns,
+                        records_in: data_len as u64,
+                        records_out,
+                    });
                     Some(id)
                 } else {
                     None
                 };
-                let dur_ns = (task_secs * 1e9) as u64;
-                if let Some(id) = id {
-                    if self.cfg.record_trace {
-                        self.trace.push(sbx_simmem::TaskSpec {
-                            id: sbx_simmem::TaskId(id),
-                            profile: task,
-                            deps: parent.map(sbx_simmem::TaskId).into_iter().collect(),
-                        });
-                    }
-                    if tracing {
-                        self.cfg.obs.trace.record(Span {
-                            id,
-                            parent,
-                            name: op_name,
-                            cat,
-                            lane: op_index as u64,
-                            round: self.cur_round,
-                            epoch: self.cur_epoch,
-                            start_ns: avail_ns,
-                            dur_ns,
-                            records_in: data_len as u64,
-                            records_out,
-                        });
-                    }
-                }
                 let child_avail = avail_ns + dur_ns;
                 next.extend(outs.into_iter().map(|o| (o, id, child_avail)));
             }
@@ -948,13 +928,12 @@ impl Engine {
             return Ok(Vec::new());
         }
         let prefix_len = pipeline.stateless_prefix_len();
-        // Span tracing (like replay-trace recording) forces the serial
-        // path: span ids and timestamps then depend only on message order,
-        // making same-seed exports byte-identical.
+        // Span tracing forces the serial path: span ids and timestamps then
+        // depend only on message order, making same-seed exports
+        // byte-identical.
         let parallel = self.cfg.threads > 1
             && prefix_len > 0
             && batch.len() > 1
-            && !self.cfg.record_trace
             && !self.cfg.obs.trace.is_enabled();
         let mut sink = Vec::new();
         if parallel {
@@ -1199,57 +1178,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.bundles_in, 20);
         assert!(report.output_records > 0, "some keys must match");
-    }
-
-    #[test]
-    fn trace_replay_cross_validates_round_model() {
-        let mut cfg = quick_cfg();
-        cfg.record_trace = true;
-        cfg.cores = 32;
-        let engine = Engine::new(cfg);
-        let model = engine.env().cost().clone();
-        let report = engine
-            .run(
-                KvSource::new(21, 1_000, 1_000_000).with_value_range(100),
-                benchmarks::sum_per_key(),
-                20,
-            )
-            .unwrap();
-        assert!(!report.trace.is_empty());
-        // One task per operator per message: at least ops x bundles tasks.
-        assert!(report.trace.len() >= 2 * 20);
-
-        let replay = report.replay(model.clone(), 32).expect("trace recorded");
-        // The fluid replay ignores ingestion and models contention per
-        // task; it must be optimistic relative to serial execution and in
-        // the same regime as the round model's simulated time.
-        let serial: f64 = report
-            .trace
-            .iter()
-            .map(|t| model.time_secs(&t.profile, 1))
-            .sum();
-        assert!(replay.makespan_secs <= serial + 1e-9);
-        assert!(replay.makespan_secs > 0.0);
-        // Same regime: the replay serializes chain dependencies that the
-        // round model overlaps, so allow a small constant factor.
-        assert!(
-            replay.makespan_secs < report.sim_secs * 5.0
-                && replay.makespan_secs > report.sim_secs * 0.05,
-            "replay {} vs sim {}",
-            replay.makespan_secs,
-            report.sim_secs
-        );
-    }
-
-    #[test]
-    fn trace_is_empty_unless_requested() {
-        let engine = Engine::new(quick_cfg());
-        let model = engine.env().cost().clone();
-        let report = engine
-            .run(KvSource::new(22, 10, 1_000_000), benchmarks::avg_all(), 5)
-            .unwrap();
-        assert!(report.trace.is_empty());
-        assert!(report.replay(model, 16).is_none());
     }
 
     #[test]

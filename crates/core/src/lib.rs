@@ -43,7 +43,6 @@
 
 mod balancer;
 pub mod checkpoint;
-mod cluster;
 mod data;
 mod engine;
 mod error;
@@ -60,7 +59,6 @@ pub use checkpoint::{
     CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, EntryRepr, NoopHooks, OpState,
     PipelineSnapshot, StateEntry,
 };
-pub use cluster::{Cluster, ClusterReport};
 pub use data::{Message, StreamData};
 pub use engine::{Engine, RunConfig, ENGINE_OVERHEAD_CYCLES};
 pub use error::EngineError;

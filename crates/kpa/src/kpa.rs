@@ -906,7 +906,6 @@ impl fmt::Debug for Kpa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbx_records::live_bundles;
     use sbx_simmem::MachineConfig;
 
     fn env() -> MemEnv {
@@ -1083,13 +1082,12 @@ mod tests {
     fn dropping_last_kpa_releases_bundle() {
         let env = env();
         let mut ctx = ExecCtx::new(&env);
-        let base = live_bundles();
         let b = kv_bundle(&env, &[(1, 0, 0)]);
         let kpa = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
         drop(b); // KPA still pins the bundle
-        assert_eq!(live_bundles(), base + 1);
+        assert_eq!(env.live_bundles(), 1);
         drop(kpa);
-        assert_eq!(live_bundles(), base);
+        assert_eq!(env.live_bundles(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use crate::detect::{sort_signals, ThresholdRule};
 use crate::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
 use crate::metrics::MetricsDump;
-use crate::profile::SpanRec;
+use crate::profile::{longest_chain, SpanRec};
 
 /// Sentinel shard id of the fabric track (shuffle links and barrier
 /// alignment). Real shard ids are small; the sentinel sorts last.
@@ -78,6 +78,12 @@ pub struct ClusterSpan {
     pub slot_epoch: u32,
     /// The span, with stitched id/parent.
     pub span: SpanRec,
+}
+
+impl AsRef<SpanRec> for ClusterSpan {
+    fn as_ref(&self) -> &SpanRec {
+        &self.span
+    }
 }
 
 /// A stitched cluster trace: every shard stream plus the fabric, in one id
@@ -486,24 +492,6 @@ pub struct ClusterCriticalPath {
     pub per_epoch: Vec<EpochPath>,
 }
 
-/// Latest-ending span (ties toward the smallest id) among `spans`.
-fn latest_tip<'a>(spans: impl Iterator<Item = &'a ClusterSpan>) -> Option<&'a ClusterSpan> {
-    let mut tip: Option<&ClusterSpan> = None;
-    for cs in spans {
-        let better = match tip {
-            None => true,
-            Some(t) => {
-                cs.span.end_ns() > t.span.end_ns()
-                    || (cs.span.end_ns() == t.span.end_ns() && cs.span.id < t.span.id)
-            }
-        };
-        if better {
-            tip = Some(cs);
-        }
-    }
-    tip
-}
-
 impl ClusterCriticalPath {
     /// Runs the analysis over a stitched trace. Empty input is all-zero.
     pub fn compute(trace: &ClusterTrace) -> ClusterCriticalPath {
@@ -512,22 +500,8 @@ impl ClusterCriticalPath {
         for cs in spans {
             by_id.entry(cs.span.id).or_insert(cs);
         }
-        let tip = latest_tip(spans.iter());
-        let mut chain = Vec::new();
-        let mut cur = tip;
-        while let Some(cs) = cur {
-            chain.push(cs);
-            // Ids are allocated in dependency order, so the walk terminates
-            // even on corrupted inputs.
-            cur = cs
-                .span
-                .parent
-                .and_then(|p| by_id.get(&p).copied())
-                .filter(|pcs| pcs.span.id < cs.span.id);
-        }
-        chain.reverse();
-
-        let makespan_ns = tip.map_or(0, |t| t.span.end_ns());
+        let chain = longest_chain(&by_id, spans.iter());
+        let makespan_ns = chain.last().map_or(0, |t| t.span.end_ns());
 
         // Stream totals for the critical-vs-slack table.
         let mut totals: BTreeMap<(u32, u32), u64> = BTreeMap::new();
@@ -609,20 +583,10 @@ impl ClusterCriticalPath {
             for cs in members {
                 member_ids.entry(cs.span.id).or_insert(cs);
             }
-            let etip = latest_tip(members.iter().copied());
-            let mut critical_ns = 0u64;
-            let mut steps = 0u64;
-            let end_ns = etip.map_or(0, |t| t.span.end_ns());
-            let mut cur = etip;
-            while let Some(cs) = cur {
-                critical_ns += cs.span.dur_ns;
-                steps += 1;
-                cur = cs
-                    .span
-                    .parent
-                    .and_then(|p| member_ids.get(&p).copied())
-                    .filter(|pcs| pcs.span.id < cs.span.id);
-            }
+            let echain = longest_chain(&member_ids, members.iter().copied());
+            let critical_ns = echain.iter().map(|cs| cs.span.dur_ns).sum();
+            let steps = echain.len() as u64;
+            let end_ns = echain.last().map_or(0, |t| t.span.end_ns());
             per_epoch.push(EpochPath {
                 epoch,
                 critical_ns,

@@ -16,7 +16,7 @@
 // sbx-lint: out-of-scope(raw-alloc, profile aggregation at export time)
 use std::collections::BTreeMap;
 
-use crate::json::{parse_flat_object, JsonValue};
+use crate::cluster::parse_cluster_spans_jsonl;
 use crate::metrics::MetricsDump;
 use crate::trace::Span;
 
@@ -46,6 +46,12 @@ pub struct SpanRec {
     pub records_in: u64,
     /// Records produced by the invocation.
     pub records_out: u64,
+}
+
+impl AsRef<SpanRec> for SpanRec {
+    fn as_ref(&self) -> &SpanRec {
+        self
+    }
 }
 
 impl SpanRec {
@@ -78,46 +84,15 @@ pub fn spans_to_recs(spans: &[Span]) -> Vec<SpanRec> {
 }
 
 /// Parses a span JSONL export (the `TraceCollector::export_jsonl` format)
-/// back into owned records, in file order.
+/// back into owned records, in file order. Shares the stitched-trace parser
+/// ([`parse_cluster_spans_jsonl`]) and drops its track identity.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRec>, String> {
-    let mut out = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let pairs = parse_flat_object(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = get("type").and_then(JsonValue::as_str).unwrap_or("");
-        if kind != "span" {
-            return Err(format!("line {}: not a span line ({kind:?})", line_no + 1));
-        }
-        let num = |key: &str| get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let text_of = |key: &str| {
-            get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        out.push(SpanRec {
-            id: num("id"),
-            parent: get("parent").and_then(JsonValue::as_f64).map(|p| p as u64),
-            name: text_of("name"),
-            cat: text_of("cat"),
-            lane: num("lane"),
-            round: num("round"),
-            epoch: num("epoch"),
-            start_ns: num("start_ns"),
-            dur_ns: num("dur_ns"),
-            records_in: num("records_in"),
-            records_out: num("records_out"),
-        });
-    }
-    Ok(out)
+    let spans = parse_cluster_spans_jsonl(text)?;
+    Ok(spans.into_iter().map(|cs| cs.span).collect())
 }
 
 /// One step of the critical chain, root first.
@@ -212,16 +187,19 @@ pub struct CriticalPath {
 
 /// Walks parent links from the span with the latest end time (ties broken
 /// toward the smallest id) to its root and returns the chain, root first.
-fn longest_chain<'a>(
-    by_id: &BTreeMap<u64, &'a SpanRec>,
-    spans: impl Iterator<Item = &'a SpanRec>,
-) -> Vec<&'a SpanRec> {
-    let mut tip: Option<&SpanRec> = None;
+/// Generic over anything that borrows a [`SpanRec`], so engine spans and
+/// stitched cluster spans share one walk; `by_id` scopes the parents the
+/// walk may follow.
+pub(crate) fn longest_chain<'a, T: AsRef<SpanRec>>(
+    by_id: &BTreeMap<u64, &'a T>,
+    spans: impl Iterator<Item = &'a T>,
+) -> Vec<&'a T> {
+    let mut tip: Option<&'a T> = None;
     for s in spans {
-        let better = match tip {
-            None => true,
-            Some(t) => s.end_ns() > t.end_ns() || (s.end_ns() == t.end_ns() && s.id < t.id),
-        };
+        let better = tip.is_none_or(|t| {
+            let (s, t) = (s.as_ref(), t.as_ref());
+            s.end_ns() > t.end_ns() || (s.end_ns() == t.end_ns() && s.id < t.id)
+        });
         if better {
             tip = Some(s);
         }
@@ -230,12 +208,13 @@ fn longest_chain<'a>(
     let mut cur = tip;
     while let Some(s) = cur {
         chain.push(s);
+        let s = s.as_ref();
         // Ids are allocated in dependency order (parent id < child id), so
         // the walk terminates even on corrupted inputs.
         cur = s
             .parent
             .and_then(|p| by_id.get(&p).copied())
-            .filter(|p| p.id < s.id);
+            .filter(|p| p.as_ref().id < s.id);
     }
     chain.reverse();
     chain

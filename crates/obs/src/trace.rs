@@ -1,11 +1,9 @@
 //! Span-based tracing of the simulated task graph.
 //!
-//! Each operator invocation records one [`Span`]: its identity (shared with
-//! the engine's `TaskSpec` task ids, so a trace lines up with a recorded
-//! task graph), its parent along the operator chain, and its *simulated*
-//! start/duration in nanoseconds. Because every timestamp comes from the
-//! simulated clock, two runs with the same seed export byte-identical
-//! traces.
+//! Each operator invocation records one [`Span`]: its identity, its parent
+//! along the operator chain, and its *simulated* start/duration in
+//! nanoseconds. Because every timestamp comes from the simulated clock,
+//! two runs with the same seed export byte-identical traces.
 //!
 //! Two export formats:
 //! - JSONL: one flat object per span, in record order.
@@ -21,7 +19,7 @@ use crate::sync::lock;
 /// One operator invocation in the simulated task graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Task identity; shared with the engine's `TaskSpec` ids.
+    /// Invocation identity (ids are allocated in dependency order).
     pub id: u64,
     /// Parent span along the operator chain, if any.
     pub parent: Option<u64>,

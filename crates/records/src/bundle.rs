@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
@@ -7,15 +7,6 @@ use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
 use crate::{Col, EventTime, Schema};
 
 static NEXT_BUNDLE_ID: AtomicU32 = AtomicU32::new(1);
-static LIVE_BUNDLES: AtomicI64 = AtomicI64::new(0);
-
-/// Number of record bundles currently alive in the process.
-///
-/// Useful for asserting that the reference-counted reclamation protocol
-/// (paper §5.1) frees every bundle once no KPA points into it.
-pub fn live_bundles() -> i64 {
-    LIVE_BUNDLES.load(Ordering::Acquire)
-}
 
 /// Process-unique identifier of a [`RecordBundle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,10 +61,10 @@ pub struct RecordBundle {
     schema: Arc<Schema>,
     data: PoolVec,
     rows: usize,
-    /// Sanitizer handle so the shadow entry is retired exactly when the
-    /// last `Arc<RecordBundle>` drops.
-    #[cfg(feature = "sanitize")]
-    shadow: sbx_sanitize::Sanitizer,
+    /// The allocating environment: its live-bundle count (and, with the
+    /// sanitizer, its shadow entry) is released when the last
+    /// `Arc<RecordBundle>` drops.
+    env: MemEnv,
 }
 
 impl RecordBundle {
@@ -107,7 +98,7 @@ impl RecordBundle {
             .alloc_u64(rows.len().max(1), Priority::Normal)?;
         data.extend_from_slice(rows);
         let nrows = rows.len() / ncols;
-        LIVE_BUNDLES.fetch_add(1, Ordering::AcqRel);
+        env.note_bundle_alloc();
         // sbx-lint: allow(atomic-ordering, monotonic id counter; uniqueness is all that matters)
         let id = BundleId(NEXT_BUNDLE_ID.fetch_add(1, Ordering::Relaxed));
         #[cfg(feature = "sanitize")]
@@ -118,8 +109,7 @@ impl RecordBundle {
             schema,
             data,
             rows: nrows,
-            #[cfg(feature = "sanitize")]
-            shadow: env.sanitizer().clone(),
+            env: env.clone(),
         }))
     }
 
@@ -200,9 +190,9 @@ impl fmt::Debug for RecordBundle {
 
 impl Drop for RecordBundle {
     fn drop(&mut self) {
-        LIVE_BUNDLES.fetch_sub(1, Ordering::AcqRel);
+        self.env.note_bundle_free();
         #[cfg(feature = "sanitize")]
-        self.shadow.free(self.id.0 as u64);
+        self.env.sanitizer().free(self.id.0 as u64);
     }
 }
 
@@ -254,9 +244,25 @@ mod tests {
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &vec![0u64; 3000]).unwrap();
         assert!(env.pool(MemKind::Dram).used_bytes() > before);
         assert_eq!(env.pool(MemKind::Hbm).used_bytes(), 0);
-        let live_with = live_bundles();
+        assert_eq!(env.live_bundles(), 1);
         drop(b);
-        assert_eq!(live_bundles(), live_with - 1);
+        assert_eq!(env.live_bundles(), 0);
+    }
+
+    #[test]
+    fn live_count_is_per_env() {
+        // Bundles of another environment (another run, another test in
+        // the same process) never show in this environment's count.
+        let (a, b) = (env(), env());
+        let on_a = RecordBundle::from_rows(&a, Schema::kvt(), &[1, 2, 3]).unwrap();
+        let on_b = RecordBundle::from_rows(&b, Schema::kvt(), &[4, 5, 6, 7, 8, 9]).unwrap();
+        assert_eq!(a.live_bundles(), 1);
+        assert_eq!(b.live_bundles(), 1);
+        drop(on_a);
+        assert_eq!(a.live_bundles(), 0);
+        assert_eq!(b.live_bundles(), 1);
+        drop(on_b);
+        assert_eq!(b.live_bundles(), 0);
     }
 
     #[test]

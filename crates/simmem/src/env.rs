@@ -1,4 +1,4 @@
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sbx_obs::{Counter, MetricsRegistry};
@@ -25,6 +25,9 @@ struct EnvInner {
     /// must work under a no-op registry (the flight recorder's detectors)
     /// see the real number.
     spill_count: AtomicU64,
+    /// Record bundles allocated against this environment and not yet
+    /// dropped (see [`MemEnv::live_bundles`]).
+    live_bundles: AtomicI64,
     /// Shadow-state table for the pointer-provenance sanitizer.
     #[cfg(feature = "sanitize")]
     sanitizer: sbx_sanitize::Sanitizer,
@@ -87,6 +90,7 @@ impl MemEnv {
                 traffic,
                 spills: registry.counter("pool.hbm.spills"),
                 spill_count: AtomicU64::new(0),
+                live_bundles: AtomicI64::new(0),
                 #[cfg(feature = "sanitize")]
                 sanitizer: sbx_sanitize::Sanitizer::new(),
             }),
@@ -113,6 +117,26 @@ impl MemEnv {
     /// whenever one is active.
     pub fn spill_count(&self) -> u64 {
         self.inner.spill_count.load(Ordering::Acquire)
+    }
+
+    /// Records one record bundle allocated against this environment. Called
+    /// by the bundle constructor; the bundle's drop calls
+    /// [`MemEnv::note_bundle_free`].
+    pub fn note_bundle_alloc(&self) {
+        self.inner.live_bundles.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Records one record bundle of this environment being dropped.
+    pub fn note_bundle_free(&self) {
+        self.inner.live_bundles.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Number of record bundles allocated against this environment that
+    /// are still alive. Useful for asserting that the reference-counted
+    /// reclamation protocol (paper §5.1) frees every bundle once no KPA
+    /// points into it; other environments' bundles never count here.
+    pub fn live_bundles(&self) -> i64 {
+        self.inner.live_bundles.load(Ordering::Acquire)
     }
 
     /// The machine configuration this environment simulates.

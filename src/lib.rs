@@ -15,7 +15,7 @@
 //! ## Crate map
 //!
 //! * [`simmem`] — simulated hybrid memory: pools, bandwidth monitor, cost
-//!   model, fluid replay simulator.
+//!   model.
 //! * [`records`] — records, row-format DRAM bundles, event time, windows.
 //! * [`kpa`] — Key Pointer Arrays and the Table-2 streaming primitives.
 //! * [`engine`] — the runtime: operators, pipelines, scheduler tags, the
@@ -60,16 +60,15 @@ pub use sbx_simmem as simmem;
 pub mod prelude {
     pub use sbx_baselines::{RowEngine, RowEngineConfig, RowPipeline};
     pub use sbx_checkpoint::{
-        coordinated_epoch, run_with_recovery, CheckpointCoordinator, CrashPlan, RecoveryOutcome,
-        SnapshotStore,
+        run_with_recovery, CheckpointCoordinator, CrashPlan, RecoveryOutcome, SnapshotStore,
     };
     pub use sbx_cluster::{
         ClusterConfig, ClusterRunReport, ElasticPlan, Retarget, RouteTable, ShardedCluster,
     };
     pub use sbx_engine::ops::{AggKind, GroupingSpec};
     pub use sbx_engine::{
-        benchmarks, round_samples_from_dump, Cluster, ClusterReport, Engine, EngineMode, Pipeline,
-        PipelineBuilder, RunConfig, RunReport,
+        benchmarks, round_samples_from_dump, Engine, EngineMode, Pipeline, PipelineBuilder,
+        RunConfig, RunReport,
     };
     pub use sbx_ingress::{
         IngestFormat, KvSource, LinkModel, NicModel, PowerGridSource, Sender, SenderConfig, Source,

@@ -8,7 +8,7 @@
 //! stream — no loss, no duplication, same order.
 
 use sbx_prng::SbxRng;
-use streambox_hbm::engine::{CheckpointHooks, CrashPhase};
+use streambox_hbm::engine::CrashPhase;
 use streambox_hbm::prelude::*;
 
 fn base_cfg() -> RunConfig {
@@ -158,40 +158,47 @@ fn crash_after_last_checkpoint_replays_only_the_tail() {
     assert_eq!(out.report.output_records, base.report.output_records);
 }
 
-/// Per-shard coordinated checkpoints on a cluster: every shard sees the
-/// same barrier cadence, so the coordinated epoch (min over shards) is the
-/// common prefix a cluster-wide recovery would restore.
+/// Coordinated checkpoints on a sharded cluster: lockstep routed sources
+/// give every shard the same barrier cadence, so all shards cut the same
+/// epoch at the same replay offset. The rescale shuffle rejects a cut set
+/// that disagrees on either, so a cut that succeeds and resumes to the
+/// single-engine oracle's outputs proves the cut was coordinated.
 #[test]
 fn cluster_checkpoints_coordinate_across_shards() {
     let mk_src = || KvSource::new(17, 100, 1_000_000).with_value_range(1_000);
-    let cluster = Cluster::new(2, base_cfg());
+    let mut oracle = CheckpointCoordinator::new();
+    run_with_recovery(
+        &base_cfg(),
+        mk_src,
+        benchmarks::sum_per_key,
+        16,
+        4,
+        &mut oracle,
+    )
+    .expect("oracle");
 
-    let mut a = CheckpointCoordinator::new();
-    let mut b = CheckpointCoordinator::new();
-    {
-        let mut hooks: [&mut dyn CheckpointHooks; 2] = [&mut a, &mut b];
-        let report = cluster
-            .run_checkpointed(mk_src, benchmarks::sum_per_key, 0, 16, 4, &mut hooks)
-            .expect("cluster run");
-        assert_eq!(report.per_instance.len(), 2);
-        assert!(report.records_in() > 0);
-    }
-    // Identical cadence on every shard: both stores hold the same epochs
-    // and the coordinated epoch is their (equal) latest.
-    assert_eq!(a.store().epochs(), b.store().epochs());
-    let coord_epoch = coordinated_epoch(&[a.store(), b.store()]);
-    assert_eq!(coord_epoch, a.store().latest_epoch());
-    assert!(coord_epoch.unwrap_or(0) >= 3, "16 bundles / interval 4");
-    // Both shards' snapshots restore to matching replay offsets.
-    let sa = a.store().latest().expect("decode").expect("snapshot");
-    let sb = b.store().latest().expect("decode").expect("snapshot");
-    assert_eq!(sa.epoch, sb.epoch);
-    assert_eq!(sa.bundles_sent, sb.bundles_sent);
-    // A wrong-sized hook slice is a config error, not a panic.
-    let mut only: [&mut dyn CheckpointHooks; 1] = [&mut a];
-    assert!(cluster
-        .run_checkpointed(mk_src, benchmarks::sum_per_key, 0, 4, 2, &mut only)
-        .is_err());
+    let cluster = ShardedCluster::new(ClusterConfig {
+        shards: 2,
+        engine: base_cfg(),
+        ..ClusterConfig::default()
+    });
+    let plan = ElasticPlan {
+        at_epoch: 3,
+        retarget: Retarget::Shards(2),
+    };
+    let report = cluster
+        .run_elastic(mk_src, benchmarks::sum_per_key, 16, 4, plan)
+        .expect("coordinated cut");
+    let rescale = report.rescale.as_ref().expect("the cut happened");
+    assert_eq!(rescale.at_epoch, 3);
+    assert_eq!(report.phase1.len(), 2);
+    assert_eq!(report.shards.len(), 2);
+    assert!(report.phase1.iter().all(|s| s.crashes == 0));
+
+    let mut expect = oracle.committed().to_vec();
+    expect.sort_unstable();
+    assert!(!expect.is_empty());
+    assert_eq!(report.canonical_outputs(), expect);
 }
 
 /// Resuming with a mismatched pipeline (different stateful operator count)

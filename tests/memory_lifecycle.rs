@@ -3,8 +3,8 @@
 //! a pipeline run completes, and the balancer's spill path must keep the
 //! engine alive when HBM is tiny.
 
+use streambox_hbm::engine::{CrashPhase, EngineError};
 use streambox_hbm::prelude::*;
-use streambox_hbm::records::live_bundles;
 
 fn small_sender() -> SenderConfig {
     SenderConfig {
@@ -16,14 +16,15 @@ fn small_sender() -> SenderConfig {
 
 #[test]
 fn run_leaves_no_live_bundles_when_outputs_dropped() {
-    let before = live_bundles();
     let cfg = RunConfig {
         cores: 16,
         collect_outputs: false,
         sender: small_sender(),
         ..RunConfig::default()
     };
-    let report = Engine::new(cfg)
+    let engine = Engine::new(cfg);
+    let env = engine.env().clone();
+    let report = engine
         .run(
             KvSource::new(1, 100, 100_000),
             benchmarks::sum_per_key(),
@@ -32,8 +33,8 @@ fn run_leaves_no_live_bundles_when_outputs_dropped() {
         .expect("run");
     assert!(report.records_in > 0);
     assert_eq!(
-        live_bundles(),
-        before,
+        env.live_bundles(),
+        0,
         "all ingested and emitted bundles must be reclaimed"
     );
 }
@@ -124,10 +125,11 @@ fn urgent_reserve_keeps_window_closes_working() {
 /// in the watermark batch, the sink, and operator state; recovery then
 /// replays them. Every bundle pinned across that whole crash + recover
 /// cycle must still be reclaimed — the snapshot store holds materialized
-/// row copies, never bundle references.
+/// row copies, never bundle references. The crashing and the resuming
+/// engine are driven explicitly (as `run_with_recovery` does) so each
+/// attempt's own environment can be checked.
 #[test]
 fn crash_and_recovery_leave_no_live_bundles() {
-    let before = live_bundles();
     let cfg = RunConfig {
         cores: 16,
         collect_outputs: false,
@@ -135,34 +137,51 @@ fn crash_and_recovery_leave_no_live_bundles() {
         ..RunConfig::default()
     };
     let mk_src = || KvSource::new(6, 100, 100_000).with_value_range(100);
+    let mk_pipe = || benchmarks::topk_per_key(3);
     let plans = [
         CrashPlan::AfterBundles(13),
         // Mid-barrier: the alignment flush has drained the batch into the
         // sink when the crash lands — the subtlest RC path.
         CrashPlan::AtBarrier {
             epoch: 3,
-            phase: streambox_hbm::engine::CrashPhase::BarrierAligned,
+            phase: CrashPhase::BarrierAligned,
         },
     ];
     for plan in plans {
         let mut coord = CheckpointCoordinator::with_crash(plan);
-        let out = run_with_recovery(
-            &cfg,
-            mk_src,
-            || benchmarks::topk_per_key(3),
-            25,
-            5,
-            &mut coord,
-        )
-        .expect("recover");
-        assert_eq!(out.crashes, 1, "{plan:?}");
-        assert!(out.report.records_in > 0);
+
+        let crashing = Engine::new(cfg.clone());
+        let crashed_env = crashing.env().clone();
+        let crashed = crashing.run_with_hooks(mk_src(), mk_pipe(), 25, Some(5), &mut coord);
+        assert!(
+            matches!(crashed, Err(EngineError::Crashed(_))),
+            "{plan:?} must crash, got {crashed:?}"
+        );
+        coord.discard_pending();
+        assert_eq!(
+            crashed_env.live_bundles(),
+            0,
+            "the crash teardown must release every RC-pinned bundle ({plan:?})"
+        );
+
+        let snap = coord
+            .store()
+            .latest()
+            .expect("decode")
+            .expect("a checkpoint committed before the crash");
+        let resuming = Engine::new(cfg.clone());
+        let resumed_env = resuming.env().clone();
+        let report = resuming
+            .resume_with_hooks(mk_src(), mk_pipe(), 25, Some(5), &mut coord, &snap)
+            .expect("recover");
+        coord.commit_pending();
+        assert!(report.records_in > 0);
         // The coordinator (snapshots, committed outputs) is still alive
         // here: nothing it holds may pin a bundle.
         assert_eq!(
-            live_bundles(),
-            before,
-            "crash + recovery must release every RC-pinned bundle ({plan:?})"
+            resumed_env.live_bundles(),
+            0,
+            "recovery must release every RC-pinned bundle ({plan:?})"
         );
     }
 }

@@ -8,7 +8,6 @@
 
 use sbx_prng::SbxRng;
 use streambox_hbm::ingress::parse::{json, proto, text};
-use streambox_hbm::ingress::Partitioned;
 use streambox_hbm::kpa::{bitonic, hash, join_sorted, reduce_keyed, ExecCtx, Kpa};
 use streambox_hbm::prelude::*;
 
@@ -285,34 +284,6 @@ fn hash_grouper_matches_btreemap() {
         let expect: Vec<(u64, u64, u64)> =
             oracle.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
         assert_eq!(got, expect);
-    }
-}
-
-/// Key-partitioned shards are disjoint and jointly exhaustive over any
-/// prefix of the logical stream.
-#[test]
-fn partitioned_shards_cover_the_stream() {
-    use std::collections::HashMap;
-    let mut rng = SbxRng::seed_from_u64(0x5b57_100b);
-    for _ in 0..CASES {
-        let instances = rng.random_range(1..6);
-        let per_shard = rng.random_range(1..200) as usize;
-        let seed = rng.random();
-        let mut owned_total = 0usize;
-        let mut owner_of: HashMap<u64, u64> = HashMap::new();
-        for id in 0..instances {
-            let mut s = Partitioned::new(KvSource::new(seed, 50, 1_000), 0, instances, id);
-            let mut v = Vec::new();
-            s.fill(per_shard, &mut v);
-            assert_eq!(v.len(), per_shard * 3);
-            owned_total += per_shard;
-            for row in v.chunks(3) {
-                if let Some(prev) = owner_of.insert(row[0], id) {
-                    assert_eq!(prev, id, "key {} seen on two shards", row[0]);
-                }
-            }
-        }
-        assert!(owned_total > 0);
     }
 }
 
